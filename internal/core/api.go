@@ -26,7 +26,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -243,6 +245,7 @@ type threadState struct {
 	scratch      []uint64      // scan scratch (HP address / HE era snapshot)
 	sum          resSummary    // scan scratch (reservation summary)
 	freeScratch  []mem.Handle  // scan scratch (blocks to free in one batch)
+	wholeScratch [][]mem.Handle // scan scratch (whole buckets' arrays to free)
 	blame        []uint64      // scan scratch (kept blocks per witness tid, obs only)
 	scans        atomic.Uint64 // retire-list scans executed
 	scanned      atomic.Uint64 // conflict tests run across all scans
@@ -683,8 +686,14 @@ func (b *base) finishScan(tid int, free []mem.Handle, whole [][]mem.Handle, exam
 	}
 	if freed > 0 {
 		tf := b.obs.PhaseStart()
-		b.mem.FreeBatches(tid, append(whole, free)...)
+		if whole == nil {
+			whole = ts.wholeScratch[:0] // no whole buckets: reuse the list for free
+		}
+		whole = append(whole, free)
+		b.mem.FreeBatches(tid, whole...)
 		b.obs.PhaseEnd(obs.PhaseFreeBatch, tf)
+		clear(whole) // drop the references to the freed arrays
+		ts.wholeScratch = whole[:0]
 	}
 }
 
@@ -705,7 +714,7 @@ func (b *base) scanRetiredBefore(tid int, maxSafe uint64) {
 	ts.scans.Add(1)
 	st := &ts.store
 	free := ts.freeScratch[:0]
-	var whole [][]mem.Handle
+	whole := ts.wholeScratch[:0]
 	var examined, bFrees uint64
 	tSweep := b.obs.PhaseStart()
 	out := st.buckets[:0]
@@ -824,7 +833,7 @@ type resSummary struct {
 // place).
 func (s *resSummary) build(ivs []interval) {
 	s.ivs = ivs
-	sort.Slice(ivs, func(i, j int) bool { return ivs[i].lo < ivs[j].lo })
+	slices.SortFunc(ivs, func(a, b interval) int { return cmp.Compare(a.lo, b.lo) })
 	s.prefHi = s.prefHi[:0]
 	s.prefIdx = s.prefIdx[:0]
 	maxHi := uint64(0)
@@ -950,7 +959,7 @@ func (b *base) scanSummarized(tid int, sum *resSummary) {
 	ts.scans.Add(1)
 	st := &ts.store
 	free := ts.freeScratch[:0]
-	var whole [][]mem.Handle
+	whole := ts.wholeScratch[:0]
 	var examined, bSkips, bFrees uint64
 	var blame []uint64
 	if b.obs.Enabled() {

@@ -96,18 +96,25 @@ func (bk *retireBucket) maybeCompact() {
 }
 
 // retireStore is one thread's bucketed retire backlog. buckets is sorted by
-// key; count is the total live entries across buckets. A single spare array
-// set is recycled from the most recently emptied bucket so steady-state
-// bucket churn (one bucket born and drained every 2^shift epochs) does not
-// allocate three slices per generation.
+// key; count is the total live entries across buckets. Emptied buckets'
+// array sets are kept as spares for new buckets, so steady-state bucket
+// churn does not allocate three slices per bucket. There can be many: the
+// blocks a hash map retires were born across the structure's whole
+// history, so one scan may empty dozens of small buckets and the next
+// retirements open as many again.
 type retireStore struct {
 	buckets []retireBucket
 	count   int
 	hint    int // index of the bucket the last add landed in
 
-	spareH []mem.Handle
-	spareB []uint64
-	spareR []uint64
+	spares   []spareSet
+	spareCap int // total capacity held in spares, at most storeCompactMin
+}
+
+// spareSet is one emptied bucket's arrays, kept for the next new bucket.
+type spareSet struct {
+	h    []mem.Handle
+	b, r []uint64
 }
 
 // add appends one retired block. retire must be >= every live retire epoch
@@ -121,9 +128,12 @@ func (st *retireStore) add(h mem.Handle, birth, retire uint64, shift uint) {
 			st.buckets = append(st.buckets, retireBucket{})
 			copy(st.buckets[i+1:], st.buckets[i:])
 			nb := retireBucket{key: key, birthLo: birth, birthHi: birth}
-			if st.spareR != nil {
-				nb.handles, nb.births, nb.retires = st.spareH[:0], st.spareB[:0], st.spareR[:0]
-				st.spareH, st.spareB, st.spareR = nil, nil, nil
+			if n := len(st.spares); n > 0 {
+				sp := st.spares[n-1]
+				st.spares[n-1] = spareSet{}
+				st.spares = st.spares[:n-1]
+				st.spareCap -= cap(sp.r)
+				nb.handles, nb.births, nb.retires = sp.h, sp.b, sp.r
 			}
 			st.buckets[i] = nb
 		}
@@ -143,15 +153,17 @@ func (st *retireStore) add(h mem.Handle, birth, retire uint64, shift uint) {
 	st.count++
 }
 
-// recycle stashes an emptied bucket's arrays as the spare set (keeping the
-// largest, but never one above storeCompactMin — a stall-grown array held as
-// spare would be the same heap retention the compaction gates exist to
-// prevent). The arrays may still be aliased by a pending whole-bucket free
-// slice; that is safe because the store's owner finishes the scan (and the
-// FreeBatch read) before its next add can touch the spare.
+// recycle stashes an emptied bucket's arrays as a spare set while the
+// spares' total capacity stays within storeCompactMin — stall-grown arrays
+// held as spares would be the same heap retention the compaction gates
+// exist to prevent. The arrays may still be aliased by a pending
+// whole-bucket free slice; that is safe because the store's owner finishes
+// the scan (and the FreeBatch read) before its next add can touch the
+// spare.
 func (st *retireStore) recycle(bk *retireBucket) {
-	if c := cap(bk.retires); c > cap(st.spareR) && c <= storeCompactMin {
-		st.spareH, st.spareB, st.spareR = bk.handles[:0], bk.births[:0], bk.retires[:0]
+	if c := cap(bk.retires); c > 0 && st.spareCap+c <= storeCompactMin {
+		st.spares = append(st.spares, spareSet{h: bk.handles[:0], b: bk.births[:0], r: bk.retires[:0]})
+		st.spareCap += c
 	}
 	bk.handles, bk.births, bk.retires = nil, nil, nil
 }
@@ -219,7 +231,7 @@ func (st *retireStore) snapshot() []retiredBlock {
 // pins, including dead prefixes and append slack — the heap-retention
 // metric the compaction regression test asserts on.
 func (st *retireStore) heldCap() int {
-	n := cap(st.spareR)
+	n := st.spareCap
 	for i := range st.buckets {
 		n += cap(st.buckets[i].retires)
 	}

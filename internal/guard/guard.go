@@ -12,9 +12,11 @@
 // bracket, retirefree audits Discard's direct Free, epochstamp sees Alloc
 // delegate to the birth-stamping Scheme.Alloc.
 //
-// With the ibrdebug build tag each Guard also carries an active flag, so a
-// Guard captured and used outside its Do bracket panics deterministically
-// instead of racing reclamation.
+// Normal builds keep one Guard per tid and reuse it for every bracket, so
+// Do allocates nothing. With the ibrdebug build tag each bracket instead
+// gets a fresh Guard carrying an active flag, so a Guard captured and used
+// outside its Do bracket panics deterministically instead of racing
+// reclamation.
 package guard
 
 import (
@@ -26,13 +28,17 @@ import (
 // long-lived half of the facade: data structures hold a *Guarded[T] and
 // open brackets on it with Do.
 type Guarded[T any] struct {
-	s    core.Scheme
-	pool *mem.Pool[T]
+	s      core.Scheme
+	pool   *mem.Pool[T]
+	guards []Guard[T] // one per tid; nil under ibrdebug
 }
 
-// New builds the facade over an existing scheme/pool pair.
+// New builds the facade over an existing scheme/pool pair. Its tids are
+// the pool's (0..pool.Threads()-1).
 func New[T any](s core.Scheme, pool *mem.Pool[T]) *Guarded[T] {
-	return &Guarded[T]{s: s, pool: pool}
+	w := &Guarded[T]{s: s, pool: pool}
+	w.guards = newGuards(w, pool.Threads())
+	return w
 }
 
 // Scheme exposes the underlying scheme for quiescent paths (bulk loads,
@@ -46,12 +52,12 @@ func (w *Guarded[T]) Pool() *mem.Pool[T] { return w.pool }
 // is valid only until fn returns; under the ibrdebug tag, retaining and
 // using it afterwards panics.
 func (w *Guarded[T]) Do(tid int, fn func(g *Guard[T])) {
-	g := Guard[T]{w: w, tid: tid}
+	g := w.open(tid)
 	g.enter()
 	w.s.StartOp(tid)
 	defer g.exit()
 	defer w.s.EndOp(tid)
-	fn(&g)
+	fn(g)
 }
 
 // Guard is the in-bracket capability: every protocol touch point on

@@ -15,3 +15,12 @@ func (d *debugState) check() {
 		panic("guard: Guard used outside its Do bracket (the reservation is gone)")
 	}
 }
+
+// newGuards builds nothing under ibrdebug: every bracket gets a fresh
+// Guard (see open).
+func newGuards[T any](*Guarded[T], int) []Guard[T] { return nil }
+
+// open returns a fresh Guard for each bracket, so a Guard kept from an
+// earlier bracket stays inactive even while a later bracket on the same
+// tid is open, and its next touch panics.
+func (w *Guarded[T]) open(tid int) *Guard[T] { return &Guard[T]{w: w, tid: tid} }

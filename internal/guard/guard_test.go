@@ -3,6 +3,7 @@ package guard_test
 import (
 	"testing"
 
+	"ibr/internal/allocgate"
 	"ibr/internal/core"
 	"ibr/internal/guard"
 	"ibr/internal/mem"
@@ -103,5 +104,24 @@ func TestGuardDoBracket(t *testing.T) {
 	w.Do(0, func(g *guard.Guard[node]) {
 		h := g.Alloc()
 		g.Discard(h)
+	})
+}
+
+// TestGuardDoAllocs gates a reservation bracket at zero heap allocations:
+// Do hands fn the tid's reused Guard, so neither it nor fn escapes.
+func TestGuardDoAllocs(t *testing.T) {
+	w := newGuarded(t, "tagibr")
+	var root core.Ptr
+	w.Do(0, func(g *guard.Guard[node]) {
+		h := g.Alloc()
+		g.Deref(h).val = 7
+		g.Publish(&root, h)
+	})
+	allocgate.Check(t, 0, func() {
+		w.Do(1, func(g *guard.Guard[node]) {
+			if g.Deref(g.LoadRoot(0, &root)).val != 7 {
+				t.Fatal("published node lost")
+			}
+		})
 	})
 }

@@ -38,8 +38,8 @@ var (
 
 // Control ops are engine-internal requests the remediator enqueues on shard
 // queues so that scheme maintenance always runs on a worker, under a worker's
-// leased tid. They sit far above the wire op range and never carry a done
-// callback.
+// leased tid. They sit far above the wire op range and never carry a
+// completer.
 const (
 	opCtlBase Op = 0xF0
 	// opCtlDrain: scan the executing worker's retire list now (soft
@@ -180,18 +180,50 @@ func (c EngineConfig) withDefaults() EngineConfig {
 	return c
 }
 
-// request is one queued operation. done is invoked exactly once, on the
-// shard worker that executed the request; it must not block (connection
-// handlers guarantee buffer space via their in-flight cap). Control
-// requests (req.Op >= opCtlBase) carry a nil done. A Range's per-shard legs
-// carry rng instead of done: the collector invokes the caller's done once
+// request is one queued operation. c.complete(t, ·) is invoked exactly
+// once, on the shard worker that executed the request; it must not block
+// (connection handlers guarantee buffer space via their in-flight cap).
+// Control requests (req.Op >= opCtlBase) carry a nil c. A Range's per-shard
+// legs carry rng instead: the collector completes the caller's request once
 // every leg has reported. An opCtlExpire carries its due-key batch in exp.
 type request struct {
-	req  Request
-	done func(Response)
-	rng  *rangeOp
-	exp  []expEntry
+	req Request
+	c   completer
+	t   tag
+	rng *rangeOp
+	exp []expEntry
 }
+
+// completer receives the Response of an accepted request. It is the one
+// completion path of the engine — the wire connection, DoContext, a
+// SubmitRequest caller's done func, and the Range collector all complete
+// through it — and it is closure-free: a connection is its own completer
+// and tells its requests apart by tag, so submitting allocates nothing.
+// complete must not block.
+type completer interface {
+	complete(t tag, r Response)
+}
+
+// tag identifies a request to its completer: the connection-scoped wire id
+// and the framing dialect the answer must travel back in.
+type tag struct {
+	id uint32
+	v1 bool
+}
+
+// doneFunc adapts a SubmitRequest caller's done callback. A func value is
+// pointer-shaped, so the conversion to completer does not allocate.
+type doneFunc func(Response)
+
+func (f doneFunc) complete(_ tag, r Response) { f(r) }
+
+// syncCompletion is DoContext's completer: a one-slot channel the worker
+// fills. It is pooled and reused once its response has been received.
+type syncCompletion struct{ ch chan Response }
+
+func (sc *syncCompletion) complete(_ tag, r Response) { sc.ch <- r }
+
+var syncCompletions = sync.Pool{New: func() any { return &syncCompletion{ch: make(chan Response, 1)} }}
 
 // shard is one slice of the key space: a private structure + scheme +
 // lease table + worker pool. Lease-holding goroutines are the only ones
@@ -505,8 +537,10 @@ func (e *Engine) tryQuarantine(sh *shard, tid int, role leaseRole, deficit *int)
 	if !sh.leases.quarantine(tid) {
 		return
 	}
-	sh.quarantines.Add(1)
 	sh.q.pushControl(request{req: Request{Op: opCtlQuarantine, Key: uint64(tid)}})
+	// Counted after the push: once a quarantine is visible in Stats, its
+	// cleanup is queued ahead of any request submitted to the shard later.
+	sh.quarantines.Add(1)
 	if role == roleWorker {
 		*deficit++
 	}
@@ -538,22 +572,31 @@ func shardFor(key uint64, n int) int {
 // Single-key ops go to their key's shard. A Range fans out to EVERY shard —
 // keys are hashed across them, so each holds an interleaved slice of the
 // interval — and done fires once, with the merged ascending result, after
-// the last shard leg completes. When observability is on, a non-zero
-// TraceID makes the executing worker record an op span under it (see
-// /debug/trace).
+// the last shard leg completes. The Response's Pairs belong to done's
+// caller from then on: the engine never reads, reuses or recycles them.
+// (Only the wire path recycles a result's Pairs, into the pool they were
+// merged from, after its connection writer has encoded them.) When
+// observability is on, a non-zero TraceID makes the executing worker record
+// an op span under it (see /debug/trace).
 func (e *Engine) SubmitRequest(req Request, done func(Response)) error {
+	return e.submit(req, doneFunc(done), tag{})
+}
+
+// submit enqueues req for completion through c under tag t; its contract
+// is SubmitRequest's.
+func (e *Engine) submit(req Request, c completer, t tag) error {
 	if !req.Op.valid() {
 		return fmt.Errorf("server: invalid op %d", req.Op)
 	}
 	if req.Op == OpRange {
-		return e.submitRange(req, done)
+		return e.submitRange(req, c, t)
 	}
 	sh := e.shards[shardFor(req.Key, len(e.shards))]
 	if sh.shedding.Load() {
 		sh.shed.Add(1)
 		return ErrShedding
 	}
-	return sh.q.push(request{req: req, done: done})
+	return sh.q.push(request{req: req, c: c, t: t})
 }
 
 // DoContext runs one typed operation synchronously, bounded by ctx. A
@@ -563,14 +606,19 @@ func (e *Engine) DoContext(ctx context.Context, req Request) (Response, error) {
 	if err := ctx.Err(); err != nil {
 		return Response{}, err
 	}
-	ch := make(chan Response, 1)
-	if err := e.SubmitRequest(req, func(r Response) { ch <- r }); err != nil {
+	sc := syncCompletions.Get().(*syncCompletion)
+	if err := e.submit(req, sc, tag{}); err != nil {
+		// Rejected: nothing will ever complete sc, so it is reusable.
+		syncCompletions.Put(sc)
 		return Response{}, err
 	}
 	select {
-	case r := <-ch:
+	case r := <-sc.ch:
+		syncCompletions.Put(sc)
 		return r, nil
 	case <-ctx.Done():
+		// Abandoned: the worker may still send on sc.ch, so sc must never
+		// be handed to another call. It is left to the GC.
 		return Response{}, ctx.Err()
 	}
 }
@@ -616,6 +664,7 @@ func (e *Engine) worker(sh *shard, tid int, gen uint64) {
 	var (
 		batch []request
 		cur   int
+		ls    *legScan // built on the worker's first Range leg
 	)
 	defer func() {
 		p := recover()
@@ -628,9 +677,9 @@ func (e *Engine) worker(sh *shard, tid int, gen uint64) {
 		for ; cur < len(batch); cur++ {
 			r := &batch[cur]
 			if r.rng != nil {
-				r.rng.finish(e, sh, nil, Response{Status: StatusInternal})
-			} else if r.done != nil {
-				r.done(Response{Status: StatusInternal})
+				r.rng.finish(e, nil, StatusInternal)
+			} else if r.c != nil {
+				r.c.complete(r.t, Response{Status: StatusInternal})
 			} else if len(r.exp) > 0 {
 				// An expiry batch this worker never (fully) executed:
 				// collectDue already disarmed the keys, so hand them back to
@@ -665,7 +714,10 @@ func (e *Engine) worker(sh *shard, tid int, gen uint64) {
 				continue
 			}
 			if r.rng != nil {
-				e.execRange(sh, tid, r)
+				if ls == nil {
+					ls = newLegScan()
+				}
+				e.execRange(sh, tid, r, ls)
 				sh.ops.Add(1)
 				batch[cur] = request{}
 				continue
@@ -687,8 +739,8 @@ func (e *Engine) worker(sh *shard, tid int, gen uint64) {
 				resp = e.exec(sh, tid, r)
 			}
 			sh.ops.Add(1)
-			r.done(resp)
-			batch[cur] = request{} // release the done closure promptly
+			r.c.complete(r.t, resp)
+			batch[cur] = request{} // release the completer promptly
 		}
 		spill = trimSpill(batch)
 	}

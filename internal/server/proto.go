@@ -269,13 +269,18 @@ func appendResponse(b []byte, id uint32, r Response) []byte {
 // readFrame reads one length-prefixed payload into buf (reused and grown
 // across calls) and returns the payload slice. max bounds the announced
 // length for this direction; direction-specific validity (request version
-// lengths, pair-count consistency) is the parser's job.
+// lengths, pair-count consistency) is the parser's job. The length prefix
+// is peeked in place, so a frame whose payload fits buf allocates nothing.
 func readFrame(r *bufio.Reader, max int, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr, err := r.Peek(4)
+	if err != nil {
+		if len(hdr) > 0 && err == io.EOF {
+			err = io.ErrUnexpectedEOF // the stream ended mid-prefix
+		}
 		return nil, err
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
+	n := int(binary.BigEndian.Uint32(hdr))
+	_, _ = r.Discard(4) // cannot fail: Peek just buffered these 4 bytes
 	if n > max {
 		return nil, fmt.Errorf("server: frame length %d exceeds limit %d", n, max)
 	}
@@ -287,6 +292,16 @@ func readFrame(r *bufio.Reader, max int, buf []byte) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
+}
+
+// frameBuffered reports whether r already holds one whole frame, so that
+// reading it cannot touch the underlying connection.
+func frameBuffered(r *bufio.Reader) bool {
+	if r.Buffered() < 4 {
+		return false
+	}
+	hdr, _ := r.Peek(4)
+	return r.Buffered() >= 4+int(binary.BigEndian.Uint32(hdr))
 }
 
 // parseRequest decodes a request payload, accepting both the legacy v1 and

@@ -29,8 +29,8 @@ func newReqQueue(max int) *reqQueue {
 }
 
 // push enqueues r. It returns errClosed after close and errBusy when the
-// queue is at capacity; in both cases r was not accepted and r.done will
-// never be called by a worker.
+// queue is at capacity; in both cases r was not accepted and no worker
+// will ever complete it.
 func (q *reqQueue) push(r request) error {
 	q.mu.Lock()
 	if q.closed {

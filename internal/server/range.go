@@ -12,8 +12,15 @@ import (
 // every shard: each leg scans its shard's structure inside a single
 // reservation bracket (ds.Ranger's contract) — the paper's long-running
 // read, one interval per shard — and reports its sorted slice to the
-// shared collector. The last leg to finish merges the slices and invokes
-// the caller's done exactly once.
+// shared collector. The last leg to finish merges the slices and completes
+// the caller's request exactly once.
+//
+// A warmed scan path allocates nothing: collectors, leg buffers and merged
+// results are pooled. Leg buffers go back to their pool as soon as the
+// merge has copied them out. A merged result belongs to whoever the
+// request completes to: the wire path returns it to resultPairs after its
+// writer has encoded it, while a SubmitRequest or DoContext caller keeps
+// it for good.
 type rangeOp struct {
 	from, to uint64
 	limit    int
@@ -21,8 +28,56 @@ type rangeOp struct {
 	mu      sync.Mutex
 	pending int // legs not yet reported, +1 submission sentinel
 	status  Status
-	parts   [][]Pair
-	done    func(Response)
+	parts   [][]Pair // the legs' buffers, from legPairs
+	live    [][]Pair // merge scratch: the unexhausted tails of parts
+	c       completer
+	t       tag
+}
+
+var rangeOps = sync.Pool{New: func() any { return new(rangeOp) }}
+
+// maxPooledPairs caps the capacity of a pooled pair buffer (256 KiB): a
+// buffer one huge scan grew past it is left to the GC rather than pinned
+// for the next scan.
+const maxPooledPairs = 16 << 10
+
+// pairPool is a size-capped pool of pair buffers. It stores them boxed —
+// a bare slice put in a sync.Pool allocates its header on every put — and
+// recycles the emptied boxes through pairBoxes, so neither get nor put
+// allocates in steady state.
+type pairPool struct{ p sync.Pool }
+
+type pairBuf struct{ s []Pair }
+
+var pairBoxes sync.Pool
+
+// Leg buffers and merged results pool apart: a result is about shards ×
+// a leg's size, so one drawn from a shared pool would rarely fit.
+var legPairs, resultPairs pairPool
+
+// get returns an empty buffer, nil when the pool has none.
+func (pp *pairPool) get() []Pair {
+	b, _ := pp.p.Get().(*pairBuf)
+	if b == nil {
+		return nil
+	}
+	s := b.s
+	b.s = nil
+	pairBoxes.Put(b)
+	return s
+}
+
+// put recycles s; the caller must not touch it afterwards.
+func (pp *pairPool) put(s []Pair) {
+	if cap(s) == 0 || cap(s) > maxPooledPairs {
+		return
+	}
+	b, _ := pairBoxes.Get().(*pairBuf)
+	if b == nil {
+		b = new(pairBuf)
+	}
+	b.s = s[:0]
+	pp.p.Put(b)
 }
 
 // finish retires one leg (or the submission sentinel), folding its result
@@ -30,11 +85,12 @@ type rangeOp struct {
 // that failed (worker death) poisons the whole range: a partial merge
 // would silently present a hole as an empty interval. part must already be
 // sorted ascending (legs scan in key order).
-func (ro *rangeOp) finish(e *Engine, sh *shard, part []Pair, st Response) {
+func (ro *rangeOp) finish(e *Engine, part []Pair, st Status) {
 	ro.mu.Lock()
-	if st.Status != StatusOK {
-		ro.status = st.Status
-	} else if part != nil {
+	if st != StatusOK {
+		ro.status = st
+	}
+	if part != nil {
 		ro.parts = append(ro.parts, part)
 	}
 	ro.pending--
@@ -44,40 +100,44 @@ func (ro *rangeOp) finish(e *Engine, sh *shard, part []Pair, st Response) {
 		return
 	}
 	// Single completer past this point; the fields are ours alone.
-	if ro.status != StatusOK {
-		ro.done(Response{Status: ro.status})
-		return
+	resp := Response{Status: ro.status}
+	if ro.status == StatusOK {
+		resp.Pairs = ro.merge()
+		if eo := e.obs; eo != nil {
+			eo.rangeLen.Record(uint64(len(resp.Pairs)))
+		}
 	}
-	merged := mergePairs(ro.parts, ro.limit)
-	if eo := e.obs; eo != nil {
-		eo.rangeLen.Record(uint64(len(merged)))
-	}
-	ro.done(Response{Status: StatusOK, Pairs: merged})
+	c, t := ro.c, ro.t
+	ro.release()
+	c.complete(t, resp)
 }
 
-// mergePairs k-way merges per-shard ascending slices into one ascending
-// result of at most limit pairs. Shards partition the key space (a key
-// lives on exactly one shard), so no cross-part duplicates can occur.
-func mergePairs(parts [][]Pair, limit int) []Pair {
-	live := parts[:0]
+// merge k-way merges the legs' ascending slices into one ascending result
+// of at most limit pairs, in a buffer from resultPairs. Shards partition
+// the key space (a key lives on exactly one shard), so no cross-part
+// duplicates can occur.
+func (ro *rangeOp) merge() []Pair {
+	live := ro.live[:0]
 	total := 0
-	for _, p := range parts {
+	for _, p := range ro.parts {
 		if len(p) > 0 {
 			live = append(live, p)
 			total += len(p)
 		}
 	}
-	if total > limit {
-		total = limit
-	}
+	ro.live = live
+	total = min(total, ro.limit)
 	if total == 0 {
 		return nil
 	}
-	out := make([]Pair, 0, total)
+	out := resultPairs.get()
+	if cap(out) < total {
+		out = make([]Pair, 0, total)
+	}
 	for len(out) < total {
-		best := -1
+		best := 0
 		for i, p := range live {
-			if best < 0 || p[0].Key < live[best][0].Key {
+			if p[0].Key < live[best][0].Key {
 				best = i
 			}
 		}
@@ -90,19 +150,32 @@ func mergePairs(parts [][]Pair, limit int) []Pair {
 	return out
 }
 
+// release recycles the legs' buffers and returns ro to rangeOps. No leg
+// holds ro any more: each dropped its reference when it called finish.
+func (ro *rangeOp) release() {
+	for _, p := range ro.parts {
+		legPairs.put(p)
+	}
+	clear(ro.parts)
+	clear(ro.live[:cap(ro.live)])
+	ro.parts, ro.live = ro.parts[:0], ro.live[:0]
+	ro.c = nil
+	rangeOps.Put(ro)
+}
+
 // submitRange validates and fans a Range out to every shard. The pending
 // count starts at len(shards)+1: the +1 submission sentinel keeps the
 // collector from completing while legs are still being enqueued, and its
 // retirement (after the loop) also folds in any enqueue failures.
-func (e *Engine) submitRange(req Request, done func(Response)) error {
+func (e *Engine) submitRange(req Request, c completer, t tag) error {
 	if !e.ranging {
 		// A typed answer, not an error: the request was well-formed, the
 		// serving structure just cannot execute it (see StatusUnsupported).
-		done(Response{Status: StatusUnsupported})
+		c.complete(t, Response{Status: StatusUnsupported})
 		return nil
 	}
 	if req.KeyHi < req.Key || req.KeyHi >= ds.KeyLimit {
-		done(Response{Status: StatusBadRequest})
+		c.complete(t, Response{Status: StatusBadRequest})
 		return nil
 	}
 	// Admission: a range touches every shard, so any shedding shard sheds
@@ -118,25 +191,41 @@ func (e *Engine) submitRange(req Request, done func(Response)) error {
 	if req.Limit != 0 && int(req.Limit) < limit {
 		limit = int(req.Limit)
 	}
-	ro := &rangeOp{
-		from:    req.Key,
-		to:      req.KeyHi,
-		limit:   limit,
-		pending: len(e.shards) + 1,
-		done:    done,
-	}
-	failed := Response{Status: StatusOK}
+	ro := rangeOps.Get().(*rangeOp)
+	ro.from, ro.to, ro.limit = req.Key, req.KeyHi, limit
+	ro.pending, ro.status = len(e.shards)+1, StatusOK
+	ro.c, ro.t = c, t
+	failed := StatusOK
 	for _, sh := range e.shards {
 		if err := sh.q.push(request{req: req, rng: ro}); err != nil {
 			// This leg will never run; account it here. Remaining shards
 			// still get the request — the sentinel's failure status wins,
 			// but accepted legs must execute (their queues own them now).
-			failed = Response{Status: StatusBusy}
-			ro.finish(e, nil, nil, Response{Status: StatusBusy})
+			failed = StatusBusy
+			ro.finish(e, nil, StatusBusy)
 		}
 	}
-	ro.finish(e, nil, nil, failed) // retire the submission sentinel
+	ro.finish(e, nil, failed) // retire the submission sentinel
 	return nil
+}
+
+// legScan is a worker's reusable Range visitor. Its visit func is bound
+// once per worker: a fresh closure per leg would escape through the
+// ds.Ranger interface call and allocate, together with the slice it
+// appends to.
+type legScan struct {
+	part  []Pair
+	limit int
+	visit func(k, v uint64) bool
+}
+
+func newLegScan() *legScan {
+	ls := &legScan{}
+	ls.visit = func(k, v uint64) bool {
+		ls.part = append(ls.part, Pair{Key: k, Val: v})
+		return len(ls.part) < ls.limit
+	}
+	return ls
 }
 
 // execRange runs one shard leg under the worker's leased tid: one
@@ -146,7 +235,7 @@ func (e *Engine) submitRange(req Request, done func(Response)) error {
 // feeds the under-scan high-water mark, the end-to-end evidence for the
 // paper's claim: under EBR a concurrent writer's garbage accumulates for
 // the scan's whole duration; under the interval schemes it stays bounded.
-func (e *Engine) execRange(sh *shard, tid int, r *request) {
+func (e *Engine) execRange(sh *shard, tid int, r *request, ls *legScan) {
 	ro := r.rng
 	sh.rangeOps.Add(1)
 	sh.activeScans.Add(1)
@@ -154,14 +243,13 @@ func (e *Engine) execRange(sh *shard, tid int, r *request) {
 	if e.obs != nil {
 		t0 = obs.Now()
 	}
-	var part []Pair
+	ls.part, ls.limit = legPairs.get(), ro.limit
 	// The visitor receives values, not handles, so nothing escapes the
 	// bracket — the ds-side Range implementations are held to that contract
 	// by ibrlint's range-callback rule (derefguard + lifecycle).
-	sh.m.(ds.Ranger).Range(tid, ro.from, ro.to, func(k, v uint64) bool {
-		part = append(part, Pair{Key: k, Val: v})
-		return len(part) < ro.limit
-	})
+	sh.m.(ds.Ranger).Range(tid, ro.from, ro.to, ls.visit)
+	part := ls.part
+	ls.part = nil
 	sh.noteUnderScan(core.TotalUnreclaimed(sh.inst.Scheme(), e.tids))
 	sh.activeScans.Add(-1)
 	if eo := e.obs; eo != nil {
@@ -171,5 +259,5 @@ func (e *Engine) execRange(sh *shard, tid int, r *request) {
 			eo.opEvent(sh.idx, tid, r.req.TraceID, d)
 		}
 	}
-	ro.finish(e, sh, part, Response{Status: StatusOK})
+	ro.finish(e, part, StatusOK)
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -142,6 +143,11 @@ func TestQuarantineNeutralizesDEBRA(t *testing.T) {
 		return sum(eng.Stats(), func(s ShardStats) uint64 { return s.Quarantines }) > 0
 	}) {
 		t.Fatal("remediator never quarantined the stalled tid")
+	}
+	// The cleanup that neutralizes runs on the shard's one worker, queued
+	// before this Ping: once the Ping is answered, the cleanup has run.
+	if r, err := eng.DoContext(context.Background(), Request{Op: OpPing}); err != nil || r.Status != StatusOK {
+		t.Fatalf("barrier Ping = %v, %v", r.Status, err)
 	}
 	d, ok := eng.shards[0].inst.Scheme().(*core.DEBRA)
 	if !ok {

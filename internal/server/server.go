@@ -15,8 +15,8 @@ type ServerConfig struct {
 	// MaxInflight caps the number of pipelined requests a single
 	// connection may have outstanding (default 128). The cap is what makes
 	// completion delivery non-blocking: the response channel has exactly
-	// MaxInflight slots, so a shard worker's done callback can never block
-	// on a slow or dead connection.
+	// MaxInflight slots, so a shard worker completing a request can never
+	// block on a slow or dead connection.
 	MaxInflight int
 	// IdleTimeout closes a connection that sends no frame for this long
 	// (default 5m). It doubles as the shutdown poll interval bound: a
@@ -53,6 +53,11 @@ type Server struct {
 	accepted      atomic.Uint64
 	protoDropped  atomic.Uint64
 	protoRejected atomic.Uint64
+
+	// betweenFrames, when set, runs on a connection's reader after each
+	// frame is handled and before the next read. Tests use it to land a
+	// Shutdown kick between two frames; it is deliberately unexported.
+	betweenFrames func()
 }
 
 // NewServer wraps an engine. The caller retains ownership of the engine
@@ -143,6 +148,16 @@ func (s *Server) track(c net.Conn, add bool) {
 // flush, close the connections, then drain the engine. Every request whose
 // frame was fully read before shutdown receives exactly one response.
 func (s *Server) Shutdown() {
+	s.kick()
+	s.connWG.Wait()
+	s.eng.Close()
+}
+
+// kick starts the drain: it marks the server draining, closes the listener
+// and wakes every reader blocked on its socket. A reader between two frames
+// is not blocked, so the wakeup cannot reach it; it sees draining instead,
+// because it re-checks the flag after arming each read deadline.
+func (s *Server) kick() {
 	s.draining.Store(true)
 	s.mu.Lock()
 	if s.ln != nil {
@@ -154,18 +169,30 @@ func (s *Server) Shutdown() {
 		c.SetReadDeadline(time.Now())
 	}
 	s.mu.Unlock()
-	s.connWG.Wait()
-	s.eng.Close()
 }
 
-// wireResp is one response ready to encode. legacy selects the 13-byte v1
+// wireResp is one response ready to encode. Its tag's dialect selects the
 // encoding: a response always answers in its request's framing dialect, so
 // pre-range clients (which read with a hard 13-byte bound) never see the
 // v2 header.
 type wireResp struct {
-	id     uint32
-	legacy bool
-	r      Response
+	t tag
+	r Response
+}
+
+// conn is one connection's completer: completing a request queues its
+// response for the connection's writer. The send never blocks — the reader
+// reserved a slot (inflight) before submitting, and resps has one slot per
+// inflight reservation. outstanding counts submitted requests whose
+// response is not queued yet, so the reader can wait for the tail.
+type conn struct {
+	resps       chan wireResp
+	outstanding sync.WaitGroup
+}
+
+func (cn *conn) complete(t tag, r Response) {
+	cn.resps <- wireResp{t: t, r: r}
+	cn.outstanding.Done()
 }
 
 // respBatchBytes is the writer's batching budget: keep encoding queued
@@ -191,11 +218,10 @@ func (s *Server) handle(c net.Conn) {
 	defer s.track(c, false)
 
 	var (
-		inflight    = make(chan struct{}, s.cfg.MaxInflight) // semaphore
-		resps       = make(chan wireResp, s.cfg.MaxInflight)
-		outstanding sync.WaitGroup
-		dead        atomic.Bool // writer hit a write error
-		writerDone  = make(chan struct{})
+		inflight   = make(chan struct{}, s.cfg.MaxInflight) // semaphore
+		cn         = &conn{resps: make(chan wireResp, s.cfg.MaxInflight)}
+		dead       atomic.Bool // writer hit a write error
+		writerDone = make(chan struct{})
 	)
 
 	go func() { // writer
@@ -209,7 +235,7 @@ func (s *Server) handle(c net.Conn) {
 			c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 			if !dead.Load() {
 				if _, err := bw.Write(buf); err != nil || bw.Flush() != nil {
-					// Keep draining so done callbacks and the reader's
+					// Keep draining so completions and the reader's
 					// semaphore never wedge on a dead peer.
 					dead.Store(true)
 					c.SetReadDeadline(time.Now())
@@ -222,20 +248,23 @@ func (s *Server) handle(c net.Conn) {
 			}
 		}
 		encode := func(wr wireResp) {
-			if wr.legacy {
-				buf = appendResponseV1(buf, wr.id, wr.r)
+			if wr.t.v1 {
+				buf = appendResponseV1(buf, wr.t.id, wr.r)
 			} else {
-				buf = appendResponse(buf, wr.id, wr.r)
+				buf = appendResponse(buf, wr.t.id, wr.r)
+				// The pairs are encoded; the merged result goes back to
+				// the pool it was drawn from (see SubmitRequest).
+				resultPairs.put(wr.r.Pairs)
 			}
 		}
-		for wr := range resps {
+		for wr := range cn.resps {
 			encode(wr)
 			<-inflight
 			// Batch: keep encoding while more responses are ready, then
 			// flush the whole run in one write.
 			for len(buf) < respBatchBytes {
 				select {
-				case more, ok := <-resps:
+				case more, ok := <-cn.resps:
 					if !ok {
 						flush()
 						return
@@ -255,7 +284,18 @@ func (s *Server) handle(c net.Conn) {
 	br := bufio.NewReader(c)
 	frame := make([]byte, maxReqFrame)
 	for !dead.Load() {
-		c.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+		if !frameBuffered(br) {
+			// This read can reach the socket. Arm the idle deadline, then
+			// re-check the two flags whose setters kick the reader (Shutdown
+			// sets draining, the writer sets dead): a kick that landed
+			// before the arm was overwritten by it, but its flag was set
+			// first, so it is seen here; one that lands after the arm
+			// times the read out.
+			c.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+			if s.draining.Load() || dead.Load() {
+				break
+			}
+		}
 		payload, err := readFrame(br, maxReqFrame, frame)
 		if err != nil {
 			var ne net.Error
@@ -280,20 +320,15 @@ func (s *Server) handle(c net.Conn) {
 		// Reserve a semaphore slot before submitting: at most MaxInflight
 		// responses can ever be queued, so resps never blocks a worker.
 		inflight <- struct{}{}
-		outstanding.Add(1)
-		done := func(r Response) {
-			resps <- wireResp{id: id, legacy: legacy, r: r}
-			outstanding.Done()
-		}
+		cn.outstanding.Add(1)
+		t := tag{id: id, v1: legacy}
 		// A v1 frame only speaks the pre-range op set: its 13-byte response
 		// cannot carry pairs, so a v1-framed RANGE is a bad request — the
 		// same verdict the v1 server gave op 5.
 		if !req.Op.valid() || (legacy && req.Op > OpDel) {
-			done(Response{Status: StatusBadRequest})
+			cn.complete(t, Response{Status: StatusBadRequest})
 			s.protoRejected.Add(1)
-			continue
-		}
-		if err := s.eng.SubmitRequest(req, done); err != nil {
+		} else if err := s.eng.submit(req, cn, t); err != nil {
 			// ErrBusy (queue full) and ErrShedding (unreclaimed backlog
 			// above the hard watermark) are both transient overload: the
 			// client sees StatusBusy and retries with backoff.
@@ -301,11 +336,14 @@ func (s *Server) handle(c net.Conn) {
 			if errors.Is(err, ErrClosed) {
 				st = StatusShutdown
 			}
-			done(Response{Status: st})
+			cn.complete(t, Response{Status: st})
+		}
+		if h := s.betweenFrames; h != nil {
+			h()
 		}
 	}
-	outstanding.Wait() // every submitted request has enqueued its response
-	close(resps)
+	cn.outstanding.Wait() // every submitted request has enqueued its response
+	close(cn.resps)
 	<-writerDone // responses flushed (or the conn is dead)
 	c.Close()
 }

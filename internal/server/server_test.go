@@ -210,6 +210,56 @@ func TestServerGracefulShutdown(t *testing.T) {
 	t.Logf("shutdown drain: %d responses delivered, %d conns ended in error", responses.Load(), connErrs.Load())
 }
 
+// TestShutdownKickBetweenFrames pins the lost-wakeup interleaving behind
+// the graceful-shutdown hang: the Shutdown kick lands after the reader has
+// handled one frame and before it arms the read deadline for the next, so
+// the kick's immediate deadline cannot wake it. The reader must still see
+// the drain (and not block for the hour-long idle timeout) because it
+// re-checks the draining flag after arming each deadline.
+func TestShutdownKickBetweenFrames(t *testing.T) {
+	eng, err := NewEngine(EngineConfig{Shards: 1, WorkersPerShard: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(eng, ServerConfig{IdleTimeout: time.Hour})
+	var once sync.Once
+	kicked := make(chan struct{})
+	srv.betweenFrames = func() {
+		once.Do(func() {
+			srv.kick()
+			close(kicked)
+		})
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	cl, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.Ping(); err != nil {
+		t.Fatalf("Ping before the kick: %v", err)
+	}
+	<-kicked
+	// Wait for the connection handler without kicking again: a second
+	// kick (Shutdown's own) would wake the reader and mask a lost first.
+	handled := make(chan struct{})
+	go func() { srv.connWG.Wait(); close(handled) }()
+	select {
+	case <-handled:
+	case <-time.After(10 * time.Second):
+		t.Fatal("connection handler hung: the reader missed a kick that landed between frames")
+	}
+	srv.Shutdown()
+	if err := <-served; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+}
+
 // TestServerRejectsGarbage checks a desynchronized stream is dropped and
 // counted, and does not wedge the server for other clients.
 func TestServerRejectsGarbage(t *testing.T) {
