@@ -235,23 +235,25 @@ type threadState struct {
 	_            [64]byte
 	allocCount   uint64
 	retireCount  uint64
-	sinceAdvance uint64 // retirements since the last epoch advance seen by this tid
-	allocFailed  bool   // last Alloc returned Nil for pool exhaustion
+	sinceAdvance uint64       // retirements since the last epoch advance seen by this tid
+	allocFailed  bool         // last Alloc returned Nil for pool exhaustion
+	inOp         bool         // inside a StartOp/EndOp bracket (owned by tid's goroutine)
+	drainDue     bool         // a retire-triggered scan waits for EndOp (owned by tid's goroutine)
 	retireSrc    RetireSource // current retirement cause (owned by tid's goroutine)
 	store        retireStore
-	drainAt      int // adaptive watermark: scan when store.count reaches it
-	drainStep    int // current watermark step (EmptyFreq, doubling when futile)
-	unreclaimed  atomic.Int64 // store.count, readable by samplers
-	scratch      []uint64      // scan scratch (HP address / HE era snapshot)
-	sum          resSummary    // scan scratch (reservation summary)
-	freeScratch  []mem.Handle  // scan scratch (blocks to free in one batch)
-	wholeScratch [][]mem.Handle // scan scratch (whole buckets' arrays to free)
-	blame        []uint64      // scan scratch (kept blocks per witness tid, obs only)
-	scans        atomic.Uint64 // retire-list scans executed
-	scanned      atomic.Uint64 // conflict tests run across all scans
-	freed        atomic.Uint64 // blocks reclaimed by scans
-	bucketSkips  atomic.Uint64 // whole buckets kept by one corner test
-	bucketFrees  atomic.Uint64 // whole buckets freed by one corner test
+	drainAt      int                             // adaptive watermark: scan when store.count reaches it
+	drainStep    int                             // current watermark step (EmptyFreq, doubling when futile)
+	unreclaimed  atomic.Int64                    // store.count, readable by samplers
+	scratch      []uint64                        // scan scratch (HP address / HE era snapshot)
+	sum          resSummary                      // scan scratch (reservation summary)
+	freeScratch  []mem.Handle                    // scan scratch (blocks to free in one batch)
+	wholeScratch [][]mem.Handle                  // scan scratch (whole buckets' arrays to free)
+	blame        []uint64                        // scan scratch (kept blocks per witness tid, obs only)
+	scans        atomic.Uint64                   // retire-list scans executed
+	scanned      atomic.Uint64                   // conflict tests run across all scans
+	freed        atomic.Uint64                   // blocks reclaimed by scans
+	bucketSkips  atomic.Uint64                   // whole buckets kept by one corner test
+	bucketFrees  atomic.Uint64                   // whole buckets freed by one corner test
 	retiredBy    [NumRetireSources]atomic.Uint64 // retirements by cause
 	_            [64]byte
 }
@@ -324,8 +326,8 @@ func AllocFailed(s Scheme, tid int) bool {
 	}
 	return false
 }
-func (b *base) Unreserve(tid, idx int)  {}
-func (b *base) checkTid(tid int)        { _ = &b.ts[tid] }
+func (b *base) Unreserve(tid, idx int) {}
+func (b *base) checkTid(tid int)       { _ = &b.ts[tid] }
 
 // Clock exposes the scheme's epoch clock (tests and diagnostics).
 func (b *base) Clock() *epoch.Clock { return b.clock }
@@ -432,7 +434,9 @@ func SetRetireSource(s Scheme, tid int, src RetireSource) {
 // RetireSources returns the scheme's retirement counts by cause (zeros when
 // the scheme does not account).
 func RetireSources(s Scheme) [NumRetireSources]uint64 {
-	if r, ok := s.(interface{ RetireSources() [NumRetireSources]uint64 }); ok {
+	if r, ok := s.(interface {
+		RetireSources() [NumRetireSources]uint64
+	}); ok {
 		return r.RetireSources()
 	}
 	return [NumRetireSources]uint64{}
@@ -509,7 +513,8 @@ func (b *base) allocPlain(tid int, drain func(int)) mem.Handle {
 
 // retire implements the retire cadence shared by Figs. 2/4/5: stamp the
 // retire epoch, bucket the block into the thread-local store, and scan when
-// the drain policy says to (see shouldDrain).
+// the drain policy says to (see shouldDrain) — at once outside an operation,
+// at the op boundary inside one (see exitOp).
 //
 // Epoch cadence: the clock has ONE advance source per op. For the
 // epoch-tagging schemes that source is alloc (allocEpochs, the paper's §3
@@ -550,6 +555,31 @@ func (b *base) retire(tid int, h mem.Handle, drain func(int)) {
 		b.obs.EpochAdvance(tid, ne)
 	}
 	if b.shouldDrain(ts) {
+		if ts.inOp {
+			ts.drainDue = true
+		} else {
+			drain(tid)
+		}
+	}
+}
+
+// enterOp opens tid's operation bracket (the scanning schemes' StartOp).
+// Until exitOp, a retire that reaches the drain trigger defers its scan.
+func (b *base) enterOp(tid int) { b.ts[tid].inOp = true }
+
+// exitOp closes tid's operation bracket and runs the scan a retire deferred
+// to it; callers withdraw their reservation first. Fig. 5 scans inside the
+// op, where the scanner's own interval keeps everything it retired since
+// the op began. After EndOp the thread holds no handle, so this scan frees
+// whatever the peers do not protect, and a tid's backlog stays within its
+// drain watermark plus one op's retirements (DESIGN.md §3, "Op-boundary
+// drains"). Only tid's goroutine touches inOp/drainDue: the cross-tid
+// ClearReservation and AdoptRetired leave them alone.
+func (b *base) exitOp(tid int, drain func(int)) {
+	ts := &b.ts[tid]
+	ts.inOp = false
+	if ts.drainDue {
+		ts.drainDue = false
 		drain(tid)
 	}
 }

@@ -94,12 +94,17 @@ func (s *DEBRA) StartOp(tid int) {
 	if s.neut[tid].v.Swap(false) {
 		s.observed.Add(1)
 	}
+	s.enterOp(tid)
 	e := s.clock.Now()
 	s.res.At(tid).Set(e, e)
 }
 
-// EndOp clears the reservation.
-func (s *DEBRA) EndOp(tid int) { s.res.At(tid).Clear() }
+// EndOp clears the reservation, then runs the scan the op's retirements
+// made due (see base.exitOp).
+func (s *DEBRA) EndOp(tid int) {
+	s.res.At(tid).Clear()
+	s.exitOp(tid, s.Drain)
+}
 
 // RestartOp renews the reservation (and, like StartOp, consumes a pending
 // neutralization — a restart is an operation boundary).

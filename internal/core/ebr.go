@@ -21,12 +21,17 @@ func NewEBR(m Memory, o Options) *EBR {
 // StartOp posts the current epoch as the thread's reservation (Fig. 2
 // line 21).
 func (s *EBR) StartOp(tid int) {
+	s.enterOp(tid)
 	e := s.clock.Now()
 	s.res.At(tid).Set(e, e)
 }
 
-// EndOp clears the reservation to MAX (Fig. 2 line 23).
-func (s *EBR) EndOp(tid int) { s.res.At(tid).Clear() }
+// EndOp clears the reservation to MAX (Fig. 2 line 23), then runs the scan
+// the op's retirements made due (see base.exitOp).
+func (s *EBR) EndOp(tid int) {
+	s.res.At(tid).Clear()
+	s.exitOp(tid, s.Drain)
+}
 
 // RestartOp renews the reservation with the current epoch.
 func (s *EBR) RestartOp(tid int) { s.StartOp(tid) }

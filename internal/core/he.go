@@ -33,18 +33,25 @@ func NewHE(m Memory, o Options) *HE {
 	return s
 }
 
-// StartOp is a no-op; protection is per-slot.
-func (s *HE) StartOp(tid int) { s.checkTid(tid) }
+// StartOp publishes nothing; protection is per-slot. It opens the bracket
+// that defers retire-triggered scans.
+func (s *HE) StartOp(tid int) { s.enterOp(tid) }
 
-// EndOp clears all era slots.
+// EndOp clears all era slots, then runs the scan the op's retirements made
+// due (see base.exitOp).
 func (s *HE) EndOp(tid int) {
+	s.clearEras(tid)
+	s.exitOp(tid, s.Drain)
+}
+
+// RestartOp clears all era slots. The bracket stays open.
+func (s *HE) RestartOp(tid int) { s.clearEras(tid) }
+
+func (s *HE) clearEras(tid int) {
 	for i := range s.eras[tid] {
 		s.eras[tid][i].v.Store(0)
 	}
 }
-
-// RestartOp clears all era slots.
-func (s *HE) RestartOp(tid int) { s.EndOp(tid) }
 
 // Alloc allocates and stamps the birth era, advancing the global era every
 // EpochFreq allocations (HE and IBR share this cadence).

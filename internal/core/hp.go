@@ -40,20 +40,26 @@ func NewHP(m Memory, o Options) *HP {
 	return s
 }
 
-// StartOp is a no-op: HP has no per-operation reservation, only per-read
-// hazards.
-func (s *HP) StartOp(tid int) { s.checkTid(tid) }
+// StartOp publishes nothing: HP has no per-operation reservation, only
+// per-read hazards. It opens the bracket that defers retire-triggered scans.
+func (s *HP) StartOp(tid int) { s.enterOp(tid) }
 
-// EndOp clears all of tid's hazard slots.
+// EndOp clears all of tid's hazard slots, then runs the scan the op's
+// retirements made due (see base.exitOp).
 func (s *HP) EndOp(tid int) {
+	s.clearHazards(tid)
+	s.exitOp(tid, s.Drain)
+}
+
+// RestartOp clears all hazard slots; the operation will re-protect from the
+// root. The bracket stays open.
+func (s *HP) RestartOp(tid int) { s.clearHazards(tid) }
+
+func (s *HP) clearHazards(tid int) {
 	for i := range s.haz[tid] {
 		s.haz[tid][i].v.Store(0)
 	}
 }
-
-// RestartOp clears all hazard slots; the operation will re-protect from the
-// root.
-func (s *HP) RestartOp(tid int) { s.EndOp(tid) }
 
 // Alloc allocates a block; HP keeps no epochs.
 func (s *HP) Alloc(tid int) mem.Handle { return s.allocPlain(tid, s.Drain) }

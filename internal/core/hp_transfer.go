@@ -15,15 +15,7 @@ func (s *HE) TransferSlot(tid, from, to int) {
 // ClearReservation clears every hazard slot of tid — EndOp on its behalf.
 // Same caller obligations as the base version: tid's holder must be parked
 // or dead, since a cleared hazard no longer protects a dereference.
-func (s *HP) ClearReservation(tid int) {
-	for i := range s.haz[tid] {
-		s.haz[tid][i].v.Store(0)
-	}
-}
+func (s *HP) ClearReservation(tid int) { s.clearHazards(tid) }
 
 // ClearReservation clears every era slot of tid on its behalf.
-func (s *HE) ClearReservation(tid int) {
-	for i := range s.eras[tid] {
-		s.eras[tid][i].v.Store(0)
-	}
-}
+func (s *HE) ClearReservation(tid int) { s.clearEras(tid) }

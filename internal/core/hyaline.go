@@ -119,6 +119,10 @@ func NewHyaline(m Memory, o Options) *Hyaline {
 // StartOp activates tid's slot with an empty retirement list. From here
 // until EndOp, every batch sealed anywhere gains one reference owed by this
 // thread — the handoff that replaces reservation snapshots.
+//
+// It opens no deferred-drain bracket (base.enterOp): a batch sealed in-op
+// owes the sealer's own reference only until this op's EndOp, so sealing at
+// the fixed cadence pins nothing of its own past the op boundary.
 func (s *Hyaline) StartOp(tid int) {
 	sl := &s.slots[tid]
 	if sl.head.Load() == hyInactive {

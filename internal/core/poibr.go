@@ -26,12 +26,17 @@ func NewPOIBR(m Memory, o Options) *POIBR {
 // StartOp posts the current epoch (Fig. 4 line 22). ReadRoot will re-post;
 // this initial reservation covers allocations made before the root read.
 func (s *POIBR) StartOp(tid int) {
+	s.enterOp(tid)
 	e := s.clock.Now()
 	s.res.At(tid).Set(e, e)
 }
 
-// EndOp withdraws the reservation (Fig. 4 line 24).
-func (s *POIBR) EndOp(tid int) { s.res.At(tid).Clear() }
+// EndOp withdraws the reservation (Fig. 4 line 24), then runs the scan the
+// op's retirements made due (see base.exitOp).
+func (s *POIBR) EndOp(tid int) {
+	s.res.At(tid).Clear()
+	s.exitOp(tid, s.Drain)
+}
 
 // RestartOp renews the reservation; the operation must re-read the root.
 func (s *POIBR) RestartOp(tid int) { s.StartOp(tid) }

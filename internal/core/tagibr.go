@@ -63,12 +63,17 @@ func NewTagIBR(m Memory, o Options, v TagVariant) *TagIBR {
 // StartOp sets both interval endpoints to the current epoch (Fig. 5
 // line 43).
 func (s *TagIBR) StartOp(tid int) {
+	s.enterOp(tid)
 	e := s.clock.Now()
 	s.res.At(tid).Set(e, e)
 }
 
-// EndOp withdraws the interval (Fig. 5 line 45).
-func (s *TagIBR) EndOp(tid int) { s.res.At(tid).Clear() }
+// EndOp withdraws the interval (Fig. 5 line 45), then runs the scan the
+// op's retirements made due (see base.exitOp).
+func (s *TagIBR) EndOp(tid int) {
+	s.res.At(tid).Clear()
+	s.exitOp(tid, s.Drain)
+}
 
 // RestartOp renews the interval with a fresh start epoch — the §4.3.1
 // remedy that bounds the reservation of a starving thread.

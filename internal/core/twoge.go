@@ -25,12 +25,17 @@ func NewTwoGE(m Memory, o Options) *TwoGE {
 
 // StartOp sets both endpoints to the current epoch.
 func (s *TwoGE) StartOp(tid int) {
+	s.enterOp(tid)
 	e := s.clock.Now()
 	s.res.At(tid).Set(e, e)
 }
 
-// EndOp withdraws the interval.
-func (s *TwoGE) EndOp(tid int) { s.res.At(tid).Clear() }
+// EndOp withdraws the interval, then runs the scan the op's retirements
+// made due (see base.exitOp).
+func (s *TwoGE) EndOp(tid int) {
+	s.res.At(tid).Clear()
+	s.exitOp(tid, s.Drain)
+}
 
 // RestartOp renews the interval with a fresh start epoch (§4.3.1).
 func (s *TwoGE) RestartOp(tid int) { s.StartOp(tid) }

@@ -302,17 +302,31 @@ func (l *List) Range(tid int, from, to uint64, fn func(key, val uint64) bool) {
 				curr = g.LoadRoot(cc, prev).ClearMarks()
 				continue
 			}
-			if !next.Mark0() { // skip logically deleted nodes
-				k := node.key
-				if k > to {
+			if next.Mark0() {
+				// curr is logically deleted: unlink it as find does. Stepping
+				// over it instead would leave prev on its marked link, and the
+				// check above would restart the scan forever once no writer
+				// is left to snip the node.
+				if !g.CompareAndSwap(prev, curr, next.ClearMarks()) {
+					pp, cc, nn = slotPrev, slotCurr, slotNext
+					prev = &l.head
+					curr = g.LoadRoot(cc, prev).ClearMarks()
+					continue
+				}
+				g.Retire(curr)
+				curr = next.ClearMarks()
+				cc, nn = nn, cc // next's protection slot now guards curr
+				continue
+			}
+			k := node.key
+			if k > to {
+				return
+			}
+			if k >= lo {
+				if !fn(k, node.val) {
 					return
 				}
-				if k >= lo {
-					if !fn(k, node.val) {
-						return
-					}
-					lo = k + 1
-				}
+				lo = k + 1
 			}
 			prev = &node.next
 			pp, cc, nn = cc, nn, pp

@@ -3,6 +3,7 @@ package ds
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"ibr/internal/core"
 	"ibr/internal/mem"
@@ -79,6 +80,40 @@ func TestListLogicalDeletionVisible(t *testing.T) {
 	// The traversal should also have physically unlinked (helped) node 2.
 	if got := l.Keys(); len(got) != 2 {
 		t.Fatalf("Keys() = %v, want [1 3]", got)
+	}
+}
+
+// TestListRangeHelpsMarkedNode: a node logically deleted but left linked
+// (its remover's unlink CAS failed) must not stall a scan of a quiescent
+// list. Range unlinks and retires it, as find does; stepping over it left
+// the scan on a marked link and restarted it from the head forever.
+func TestListRangeHelpsMarkedNode(t *testing.T) {
+	l := newTestList(t, "ebr", 1)
+	l.Insert(0, 1, 10)
+	l.Insert(0, 2, 20)
+	l.Insert(0, 3, 30)
+	h1 := l.head.Raw().ClearMarks()
+	h2 := l.lc.w.Pool().Get(h1).next.Raw().ClearMarks()
+	l.lc.w.Pool().Get(h2).next.FetchOrMarks(mem.Mark0Bit)
+	done := make(chan []uint64, 1)
+	go func() {
+		var got []uint64
+		l.Range(0, 0, 10, func(k, v uint64) bool {
+			got = append(got, k)
+			return true
+		})
+		done <- got
+	}()
+	select {
+	case got := <-done:
+		if len(got) != 2 || got[0] != 1 || got[1] != 3 {
+			t.Fatalf("Range = %v, want [1 3]", got)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Range did not finish past a marked, still-linked node")
+	}
+	if l.lc.w.Pool().State(h2) == mem.StateLive {
+		t.Fatal("Range did not unlink and retire the marked node")
 	}
 }
 

@@ -106,3 +106,24 @@ func TestRangeAllocs(t *testing.T) {
 		resultPairs.put(wr.r.Pairs)
 	})
 }
+
+// TestClientDoContextAllocs: a GET over loopback through Client.DoContext,
+// client and server in one process. The result channel is pooled, so the
+// round trip allocates nothing.
+func TestClientDoContextAllocs(t *testing.T) {
+	addr, _ := startTestServer(t, EngineConfig{Shards: 1, WorkersPerShard: 1, Obs: &obs.Options{}}, ServerConfig{})
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx := context.Background()
+	if r, err := cl.Put(ctx, 5, 50, 0); err != nil || r.Status != StatusOK {
+		t.Fatalf("Put = %v, %v", r.Status, err)
+	}
+	allocgate.Check(t, 0, func() {
+		if r, err := cl.Get(ctx, 5); err != nil || r.Status != StatusOK || r.Val != 50 {
+			t.Fatalf("Get = %v/%d, %v", r.Status, r.Val, err)
+		}
+	})
+}

@@ -238,16 +238,23 @@ func (c *Client) DoContext(ctx context.Context, req Request) (Response, error) {
 	return c.doRetry(ctx, req, *c.retry)
 }
 
+// resultChans recycles doOnce's one-slot result channels. A channel goes
+// back only after its one result was received, or when it never reached
+// the wire: an abandoned call's channel may still get a late result, so it
+// is left to the GC.
+var resultChans = sync.Pool{New: func() any { return make(chan result, 1) }}
+
 // doOnce issues req exactly once.
 func (c *Client) doOnce(ctx context.Context, req Request) (Response, error) {
 	if err := ctx.Err(); err != nil {
 		return Response{}, err
 	}
-	ch := make(chan result, 1)
+	ch := resultChans.Get().(chan result)
 	c.pmu.Lock()
 	if c.err != nil {
 		err := c.err
 		c.pmu.Unlock()
+		resultChans.Put(ch)
 		return Response{}, err
 	}
 	// After nextID wraps uint32, the counter can land on an id whose
@@ -281,20 +288,24 @@ func (c *Client) doOnce(ctx context.Context, req Request) (Response, error) {
 		delete(c.pending, id)
 		c.pmu.Unlock()
 		if mine {
+			resultChans.Put(ch)
 			return Response{}, ctx.Err()
 		}
 		r := <-ch
+		resultChans.Put(ch)
 		return r.resp, r.err
 	}
 	select {
 	case r := <-ch:
+		resultChans.Put(ch)
 		return r.resp, r.err
 	case <-ctx.Done():
 		// The request is on the wire and its response WILL arrive carrying
 		// this id, so the pending entry must stay: readLoop uses it to
 		// recognize the id and discards the result into the buffered
 		// channel. Deleting it here would make the response "unknown" and
-		// kill the whole connection.
+		// kill the whole connection. ch is not recycled: the late result
+		// will land in it.
 		return Response{}, ctx.Err()
 	}
 }

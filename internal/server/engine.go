@@ -132,6 +132,11 @@ type EngineConfig struct {
 	// the request's op and key. Tests use it to inject faults (panics,
 	// delays) inside a worker; it is deliberately unexported.
 	testExecHook func(op Op, key uint64)
+	// testRemedyHook, when set, is called by the remediator for every
+	// parked lease holder it observes; while it returns false, that holder
+	// is not quarantined. Tests use it to see a staller parked and to hold
+	// quarantine until they are ready, instead of sleeping.
+	testRemedyHook func(shard, tid int) bool
 }
 
 func (c EngineConfig) withDefaults() EngineConfig {
@@ -503,9 +508,10 @@ func (e *Engine) remediator() {
 					e.tryQuarantine(sh, tid, info.role, &deficit[si])
 					tr.tracking = false
 				case info.status == leaseHeld && info.parked:
+					hold := e.cfg.testRemedyHook != nil && !e.cfg.testRemedyHook(si, tid)
 					if !tr.tracking || tr.beat != info.beat {
 						*tr = track{beat: info.beat, since: now, tracking: true}
-					} else if now.Sub(tr.since) >= e.cfg.QuarantineAfter {
+					} else if now.Sub(tr.since) >= e.cfg.QuarantineAfter && !hold {
 						e.tryQuarantine(sh, tid, info.role, &deficit[si])
 						tr.tracking = false
 					}

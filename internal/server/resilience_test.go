@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -39,6 +41,33 @@ func unreclaimed(stats []ShardStats) int {
 	return t
 }
 
+// remedyGate sequences a stall scenario through the remediator's test
+// hook: parked closes when the remediator first sees a parked holder (the
+// staller, whose reservation is published before it parks), and every
+// quarantine is held back until open is set.
+type remedyGate struct {
+	once   sync.Once
+	parked chan struct{}
+	open   atomic.Bool
+}
+
+func newRemedyGate() *remedyGate { return &remedyGate{parked: make(chan struct{})} }
+
+func (g *remedyGate) hook(shard, tid int) bool {
+	g.once.Do(func() { close(g.parked) })
+	return g.open.Load()
+}
+
+// waitParked blocks until the remediator has seen the staller parked.
+func (g *remedyGate) waitParked(t *testing.T) {
+	t.Helper()
+	select {
+	case <-g.parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the remediator never saw the staller parked")
+	}
+}
+
 // TestQuarantineDrainsStalledBacklog is the acceptance scenario: an
 // injected staller pins reclamation for 30s (far beyond the test), churn
 // builds an unreclaimed backlog behind it, and the remediator must
@@ -50,21 +79,24 @@ func unreclaimed(stats []ShardStats) int {
 func TestQuarantineDrainsStalledBacklog(t *testing.T) {
 	for _, scheme := range []string{"ebr", "hyaline"} {
 		t.Run(scheme, func(t *testing.T) {
+			gate := newRemedyGate()
 			eng, err := NewEngine(EngineConfig{
 				Scheme: scheme, Shards: 1, WorkersPerShard: 1,
 				EpochFreq: 4, EmptyFreq: 4,
 				Stalled: 1, StallFor: 30 * time.Second,
 				QuarantineAfter: 50 * time.Millisecond,
 				RemedyInterval:  10 * time.Millisecond,
+				testRemedyHook:  gate.hook,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer eng.Close()
 
-			// Give the staller time to park and publish its reservation, then
+			// Once the staller has parked with its reservation published,
 			// churn: every Del retires a node the pin keeps unreclaimable.
-			time.Sleep(20 * time.Millisecond)
+			// The gate holds quarantine until the backlog has been observed.
+			gate.waitParked(t)
 			churn := func(rounds int) {
 				for i := 0; i < rounds; i++ {
 					k := uint64(i % 512)
@@ -80,6 +112,7 @@ func TestQuarantineDrainsStalledBacklog(t *testing.T) {
 			if got := unreclaimed(eng.Stats()); got == 0 {
 				t.Fatal("stall did not pin a backlog; the scenario is vacuous")
 			}
+			gate.open.Store(true)
 
 			if !waitFor(2*time.Second, func() bool {
 				return sum(eng.Stats(), func(s ShardStats) uint64 { return s.Quarantines }) > 0
@@ -110,19 +143,21 @@ func TestQuarantineDrainsStalledBacklog(t *testing.T) {
 // backlog must drain while the stall keeps running — the lease watchdog
 // standing in for DEBRA+'s POSIX signal.
 func TestQuarantineNeutralizesDEBRA(t *testing.T) {
+	gate := newRemedyGate()
 	eng, err := NewEngine(EngineConfig{
 		Scheme: "debra", Shards: 1, WorkersPerShard: 1,
 		EpochFreq: 4, EmptyFreq: 4,
 		Stalled: 1, StallFor: 30 * time.Second,
 		QuarantineAfter: 50 * time.Millisecond,
 		RemedyInterval:  10 * time.Millisecond,
+		testRemedyHook:  gate.hook,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
 
-	time.Sleep(20 * time.Millisecond) // let the staller park and pin
+	gate.waitParked(t) // the staller has parked and pinned
 	churn := func(rounds int) {
 		for i := 0; i < rounds; i++ {
 			k := uint64(i % 512)
@@ -138,6 +173,7 @@ func TestQuarantineNeutralizesDEBRA(t *testing.T) {
 	if got := unreclaimed(eng.Stats()); got == 0 {
 		t.Fatal("stall did not pin a backlog; the scenario is vacuous")
 	}
+	gate.open.Store(true)
 
 	if !waitFor(2*time.Second, func() bool {
 		return sum(eng.Stats(), func(s ShardStats) uint64 { return s.Quarantines }) > 0
